@@ -29,6 +29,7 @@ bench-check:
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzProcess -fuzztime 20s .
+	$(GO) test -run '^$$' -fuzz FuzzClassifier -fuzztime 20s ./internal/sim
 
 # upgrade-smoke performs an in-service P9 -> P9v2 upgrade (stage, shadow
 # canary, cutover) over 10% drop links end to end.

@@ -20,6 +20,8 @@ import (
 	"time"
 
 	"microp4"
+	"microp4/internal/lib"
+	"microp4/internal/midend"
 	"microp4/internal/obs"
 	"microp4/internal/perf"
 	"microp4/internal/sim"
@@ -116,6 +118,50 @@ func TestExecHotPathNoAlloc(t *testing.T) {
 			}
 		})
 	}
+	// P4 with a 1k-route FIB: the classifier's LPM index (routes), exact
+	// index (next hops) and residual list (parser/deparser MATs) all
+	// stay allocation-free.
+	t.Run("fib1k", func(t *testing.T) {
+		main, mods, err := lib.CompileProgram("P4")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := midend.Build(main, mods...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables := sim.NewTables()
+		lib.InstallDefaultRules(tables, "P4", false)
+		rules, fibPkts := fib1k()
+		for _, r := range rules {
+			tables.AddEntry(r.table, r.keys, r.action, r.args...)
+		}
+		exec := sim.NewExec(res.Pipeline, tables)
+		traffic := append(perf.TrafficFor("P4"), fibPkts...)
+		var procErr error
+		forwarded := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			forwarded = 0
+			for _, p := range traffic {
+				res, err := exec.Process(p, sim.Metadata{InPort: 1})
+				if err != nil {
+					procErr = err
+					return
+				}
+				forwarded += len(res.Out)
+				res.Release()
+			}
+		})
+		if procErr != nil {
+			t.Fatal(procErr)
+		}
+		if forwarded < len(fibPkts) {
+			t.Fatalf("forwarded %d of %d packets; the FIB is not being reached", forwarded, len(traffic))
+		}
+		if allocs != 0 {
+			t.Errorf("hot path allocates %v per run of %d packets, want 0", allocs, len(traffic))
+		}
+	})
 }
 
 // measureExec times the compiled engine over the standard traffic for

@@ -93,14 +93,19 @@ func TestProcessUnderControlPlaneChurn(t *testing.T) {
 // (PR 5) against the full distributed control plane: four-worker
 // ProcessBatch loops on a switch whose tables are simultaneously
 // rewritten by a churn injector AND by a live two-phase-commit
-// transaction arriving over a lossy simulated network. The transaction
-// must still commit; the dataplane may fault only through the typed
-// taxonomy, and never via a recovered panic.
+// transaction arriving over a lossy simulated network. The switch
+// carries a 1k-route FIB that a third writer keeps re-installing (with
+// checkpoint/restore rounds), and part of each batch routes through it,
+// so lookups probe the classifier indexes while writes update them. The
+// transaction must still commit; the dataplane may fault only through
+// the typed taxonomy, and never via a recovered panic.
 func TestBatchUnderControlPlaneCommit(t *testing.T) {
 	dp := compileLib(t, "P4")
 	sw := dp.NewSwitch()
 	sw.EnableMetrics()
 	sw.SetWorkers(4)
+	rules, fibPkts := fib1k()
+	installFIB(t, sw, rules)
 
 	const seed = 0xC0FFEE
 	n := netsim.New(seed)
@@ -134,6 +139,9 @@ func TestBatchUnderControlPlaneCommit(t *testing.T) {
 	})
 
 	batch := batchTraffic(64)
+	for i := 0; i < len(fibPkts); i += 20 {
+		batch = append(batch, fibPkts[i])
+	}
 	stop := make(chan struct{})
 	errCh := make(chan error, 4)
 	var wg sync.WaitGroup
@@ -171,6 +179,20 @@ func TestBatchUnderControlPlaneCommit(t *testing.T) {
 			churn.Step()
 		}
 	}()
+	fibDone := make(chan struct{})
+	go func() {
+		defer close(fibDone)
+		for i := 0; i < 2*len(rules); i++ {
+			r := rules[i%len(rules)]
+			if err := sw.TryAddEntry(r.table, publicKeys(r.keys), r.action, r.args...); err != nil {
+				errCh <- err
+				return
+			}
+			if i%256 == 255 {
+				sw.Restore(sw.Checkpoint())
+			}
+		}
+	}()
 
 	ops := []ctrlplane.TxnOp{
 		{Peer: "s1", Op: ctrlplane.AddEntry("l3_i.ipv4_i.ipv4_lpm_tbl",
@@ -185,6 +207,7 @@ func TestBatchUnderControlPlaneCommit(t *testing.T) {
 	if _, err := n.Run(0); err != nil {
 		t.Fatal(err)
 	}
+	<-fibDone // the batches keep racing the FIB writer to its end
 	close(stop)
 	wg.Wait()
 	close(errCh)

@@ -202,7 +202,7 @@ func (c *Client) send(cl *call) {
 	}
 	cl.attempts++
 	if cl.attempts > 1 {
-		c.cfg.Metrics.Retries.Inc()
+		c.cfg.Metrics.retry()
 		c.callEvent(cl, "retry", fmt.Sprintf("%s seq %d attempt %d", cl.p.name, cl.op.Seq, cl.attempts))
 	} else {
 		c.callEvent(cl, "send", fmt.Sprintf("%s seq %d %s %s", cl.p.name, cl.op.Seq, cl.op.Kind, cl.op.Table))
@@ -216,7 +216,7 @@ func (c *Client) onTimeout(cl *call) {
 	if cl.resolved {
 		return
 	}
-	c.cfg.Metrics.Timeouts.Inc()
+	c.cfg.Metrics.timeout()
 	c.callEvent(cl, "timeout", fmt.Sprintf("%s seq %d attempt %d", cl.p.name, cl.op.Seq, cl.attempts))
 	now := c.n.Now()
 	cl.p.br.failure(now)

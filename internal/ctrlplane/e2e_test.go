@@ -102,13 +102,22 @@ type scenario struct {
 
 func newScenario(t *testing.T, seed uint64, fm netsim.FaultModel) *scenario {
 	t.Helper()
+	return newScenarioMetrics(t, seed, fm, true)
+}
+
+// newScenarioMetrics is newScenario, optionally leaving the client and
+// agents without Metrics.
+func newScenarioMetrics(t *testing.T, seed uint64, fm netsim.FaultModel, metrics bool) *scenario {
+	t.Helper()
 	dp := compileP4(t)
 	s := &scenario{
 		n:        netsim.New(seed),
 		switches: map[string]*microp4.Switch{},
 		reg:      obs.NewRegistry(),
 	}
-	s.metrics = ctrlplane.NewMetrics(s.reg)
+	if metrics {
+		s.metrics = ctrlplane.NewMetrics(s.reg)
+	}
 	s.n.OnFault(func(e netsim.FaultEvent) {
 		s.events = append(s.events, fmt.Sprintf("fault %s %s %s", e.Link, e.Kind, e.Detail))
 	})
@@ -256,6 +265,48 @@ func TestTransactionAbortsAtomically(t *testing.T) {
 	}
 	if got := s.metrics.TxnAborts.Value(); got != 1 {
 		t.Errorf("up4_ctrl_txn_aborts_total = %d, want 1", got)
+	}
+}
+
+// TestClientWithoutMetrics runs the controller and agents with no
+// Metrics, which Config documents as optional, over 10%-drop links
+// until the run has gone through a timeout, a retry, a commit and an
+// abort.
+func TestClientWithoutMetrics(t *testing.T) {
+	s := newScenarioMetrics(t, 0x5EED, netsim.FaultModel{Drop: 0.10}, false)
+	seen := func(name string) bool {
+		for _, ev := range s.events {
+			if f := strings.Fields(ev); len(f) > 2 && f[0] == "ctrl" && f[1] == "ctrl" && f[2] == name {
+				return true
+			}
+		}
+		return false
+	}
+	want := []string{"timeout", "retry", "txn-commit", "txn-abort"}
+	for round := 0; round < 20; round++ {
+		plan := updatePlan(s.client.Peers())
+		doomed := round%2 == 1
+		if doomed {
+			plan = append(plan, ctrlplane.TxnOp{Peer: "s2",
+				Op: ctrlplane.AddEntry("no_such_tbl", []ctrlplane.CtrlKey{ctrlplane.Exact(1)}, "forward", 1)})
+		}
+		s.result = nil
+		s.transact(t, plan)
+		if s.result.Committed == doomed {
+			t.Fatalf("round %d: committed = %v, want %v", round, s.result.Committed, !doomed)
+		}
+		done := true
+		for _, name := range want {
+			done = done && seen(name)
+		}
+		if done {
+			return
+		}
+	}
+	for _, name := range want {
+		if !seen(name) {
+			t.Errorf("no %q event in 20 rounds", name)
+		}
 	}
 }
 

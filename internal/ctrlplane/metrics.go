@@ -40,6 +40,32 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
+// The fixed counters' increments, nil-safe like the labeled series.
+
+func (m *Metrics) retry() {
+	if m != nil {
+		m.Retries.Inc()
+	}
+}
+
+func (m *Metrics) timeout() {
+	if m != nil {
+		m.Timeouts.Inc()
+	}
+}
+
+func (m *Metrics) txnCommit() {
+	if m != nil {
+		m.TxnCommits.Inc()
+	}
+}
+
+func (m *Metrics) txnAbort() {
+	if m != nil {
+		m.TxnAborts.Inc()
+	}
+}
+
 // Reject counts one rejected op by class (a sim.Reject* string).
 func (m *Metrics) Reject(class string) {
 	if m == nil {

@@ -227,7 +227,7 @@ func (t *txnCoord) commit() {
 			}
 			t.pending--
 			if t.pending == 0 {
-				t.c.cfg.Metrics.TxnCommits.Inc()
+				t.c.cfg.Metrics.txnCommit()
 				t.c.event("txn-commit", fmt.Sprintf("txn %d (%d peer errors)", t.id, len(t.errs)))
 				t.finish("committed", fmt.Sprintf("%d peer errors", len(t.errs)))
 				t.done(TxnResult{Txn: t.id, Committed: true, PeerErrs: t.errs})
@@ -254,7 +254,7 @@ func (t *txnCoord) abort() {
 			}
 			t.pending--
 			if t.pending == 0 {
-				t.c.cfg.Metrics.TxnAborts.Inc()
+				t.c.cfg.Metrics.txnAbort()
 				t.c.event("txn-abort", fmt.Sprintf("txn %d (%d peer errors)", t.id, len(t.errs)))
 				t.finish("aborted", fmt.Sprintf("%d peer errors", len(t.errs)))
 				t.done(TxnResult{Txn: t.id, Committed: false, PeerErrs: t.errs})

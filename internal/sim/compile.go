@@ -90,8 +90,13 @@ func (e *Exec) compile() {
 	e.imPerr = mustScalar(sm, "$im.$perr")
 
 	c := &compiler{e: e, sm: sm}
-	e.actions = make(map[string]*cAction, len(e.pl.Actions))
-	for name, act := range e.pl.Actions {
+	names := make([]string, 0, len(e.pl.Actions))
+	for name := range e.pl.Actions {
+		names = append(names, name)
+	}
+	ids := e.tables.actionIDs(names)
+	for i, name := range names {
+		act := e.pl.Actions[name]
 		ca := &cAction{name: act.Name}
 		for _, p := range act.Params {
 			slot, ok := sm.Scalar(act.Name + "#" + p.Name)
@@ -101,7 +106,10 @@ func (e *Exec) compile() {
 			ca.params = append(ca.params, cParam{slot: slot, width: p.Width})
 		}
 		ca.body = c.stmts(act.Body)
-		e.actions[name] = ca
+		for int(ids[i]) >= len(e.actions) {
+			e.actions = append(e.actions, nil)
+		}
+		e.actions[ids[i]] = ca
 	}
 	e.prog = c.stmts(e.pl.Stmts)
 }
@@ -415,6 +423,7 @@ func (c *compiler) applyTable(name string) stmtFn {
 		keyFns[i] = c.expr(k.Expr)
 		keyWs[i] = orW(k.Expr.Width, 64)
 	}
+	bt := c.e.tables.bind(name, def)
 	module := moduleOf(name)
 	var tmc atomic.Pointer[tableMetricsCache]
 	return func(st *execState) error {
@@ -427,7 +436,7 @@ func (c *compiler) applyTable(name string) stmtFn {
 			}
 			kv[i] = truncate(v, keyWs[i])
 		}
-		call, outcome := e.tables.LookupWithOutcome(name, def, kv)
+		call, actID, outcome := bt.lookup(kv)
 		if m := st.m; m != nil {
 			// The cache tracks the engine's default metrics identity;
 			// per-worker shards (Metadata.M) bypass it with a direct
@@ -467,7 +476,10 @@ func (c *compiler) applyTable(name string) stmtFn {
 		if call == nil {
 			return nil
 		}
-		act := e.actions[call.Name]
+		var act *cAction
+		if int(actID) < len(e.actions) {
+			act = e.actions[actID]
+		}
 		if act == nil {
 			return &TableError{Table: name, Action: call.Name, Reason: "selected unknown action"}
 		}

@@ -28,8 +28,8 @@ type Exec struct {
 	traceOff func()                 // SetTracer's current subscription
 	metrics  *Metrics               // nil = observability disabled
 
-	prog     []stmtFn            // compiled pipeline control flow
-	actions  map[string]*cAction // compiled actions by fully qualified name
+	prog     []stmtFn   // compiled pipeline control flow
+	actions  []*cAction // compiled actions by interned name (Tables.actionID)
 	nScalars int
 	nValids  int
 	maxKeys  int // widest table key set (per-state scratch size)

@@ -52,27 +52,48 @@ func newRuntimeEntry(keys []RuntimeKey, action string, args []uint64, prio int) 
 // compiled executor: runtime entries and default-action overrides, keyed
 // by fully-qualified table name (instance-path-prefixed, e.g.
 // "l3_i.ipv4_lpm_tbl"). It is safe for concurrent use.
+//
+// Every write also updates the compiled engine's classifiers for the
+// table (classify.go) before it returns, so the next packet sees it.
 type Tables struct {
-	mu       sync.RWMutex
-	entries  map[string][]RuntimeEntry
-	defaults map[string]*ir.ActionCall
-	seq      int
+	mu     sync.RWMutex
+	tables map[string]*tableRec
+	seq    int
+
+	actIDs  map[string]int32 // interned action names
+	lastAct string           // the name actionID interned last, and its id
+	lastID  int32
+}
+
+// tableRec is one table name's control-plane state.
+type tableRec struct {
+	entries []RuntimeEntry // installation order
+	dflt    *ir.ActionCall // default override
+	states  []*tableState  // compiled classifiers bound to the name
 }
 
 // NewTables returns empty control-plane state.
 func NewTables() *Tables {
-	return &Tables{
-		entries:  make(map[string][]RuntimeEntry),
-		defaults: make(map[string]*ir.ActionCall),
-	}
+	return &Tables{tables: make(map[string]*tableRec), actIDs: make(map[string]int32), lastID: -1}
 }
 
-// AddEntry installs an entry; entries installed earlier win ties.
+// rec returns a table's record, creating it. Callers hold t.mu.
+func (t *Tables) rec(table string) *tableRec {
+	r := t.tables[table]
+	if r == nil {
+		r = &tableRec{}
+		t.tables[table] = r
+	}
+	return r
+}
+
+// AddEntry installs an entry; entries installed earlier win ties. The
+// table keeps keys: the caller must not modify them afterwards.
 func (t *Tables) AddEntry(table string, keys []RuntimeKey, action string, args ...uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
-	t.entries[table] = append(t.entries[table], newRuntimeEntry(keys, action, args, t.seq))
+	t.add(table, keys, action, args, t.seq)
 }
 
 // AddEntryWithPriority installs an entry with an explicit priority
@@ -80,21 +101,48 @@ func (t *Tables) AddEntry(table string, keys []RuntimeKey, action string, args .
 func (t *Tables) AddEntryWithPriority(table string, prio int, keys []RuntimeKey, action string, args ...uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.entries[table] = append(t.entries[table], newRuntimeEntry(keys, action, args, prio))
+	t.add(table, keys, action, args, prio)
+}
+
+// add appends an entry and classifies it. Callers hold t.mu.
+func (t *Tables) add(table string, keys []RuntimeKey, action string, args []uint64, prio int) {
+	r := t.rec(table)
+	r.entries = append(r.entries, newRuntimeEntry(keys, action, args, prio))
+	for _, s := range r.states {
+		s.add(r.entries, t.actionID(action))
+	}
 }
 
 // SetDefault overrides a table's default action.
 func (t *Tables) SetDefault(table, action string, args ...uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.defaults[table] = &ir.ActionCall{Name: action, Args: args}
+	r := t.rec(table)
+	r.dflt = &ir.ActionCall{Name: action, Args: args}
+	for _, s := range r.states {
+		s.setDefault(t, r.dflt)
+	}
 }
 
 // ClearTable removes all runtime entries of a table.
 func (t *Tables) ClearTable(table string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.entries, table)
+	if r := t.tables[table]; r != nil {
+		r.entries = nil
+		for _, s := range r.states {
+			s.clear()
+		}
+	}
+}
+
+// runtime returns a table's entries and default override. Callers hold
+// t.mu.
+func (t *Tables) runtime(table string) ([]RuntimeEntry, *ir.ActionCall) {
+	if r := t.tables[table]; r != nil {
+		return r.entries, r.dflt
+	}
+	return nil, nil
 }
 
 // Entries returns a copy of a table's runtime entries, in installation
@@ -102,14 +150,16 @@ func (t *Tables) ClearTable(table string) {
 func (t *Tables) Entries(table string) []RuntimeEntry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return append([]RuntimeEntry(nil), t.entries[table]...)
+	es, _ := t.runtime(table)
+	return append([]RuntimeEntry(nil), es...)
 }
 
 // EntryCount returns the number of runtime entries installed in a table.
 func (t *Tables) EntryCount(table string) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.entries[table])
+	es, _ := t.runtime(table)
+	return len(es)
 }
 
 // TablesSnapshot is a deep, immutable copy of control-plane table state
@@ -129,26 +179,28 @@ func (t *Tables) Snapshot() *TablesSnapshot {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	s := &TablesSnapshot{
-		entries:  make(map[string][]RuntimeEntry, len(t.entries)),
-		defaults: make(map[string]*ir.ActionCall, len(t.defaults)),
+		entries:  make(map[string][]RuntimeEntry),
+		defaults: make(map[string]*ir.ActionCall),
 		seq:      t.seq,
 	}
-	for name, es := range t.entries {
-		cp := make([]RuntimeEntry, len(es))
-		for i, e := range es {
-			cp[i] = newRuntimeEntry(
-				append([]RuntimeKey(nil), e.Keys...),
-				e.Action,
-				append([]uint64(nil), e.Args...),
-				e.Priority,
-			)
+	for name, r := range t.tables {
+		if len(r.entries) > 0 {
+			cp := make([]RuntimeEntry, len(r.entries))
+			for i, e := range r.entries {
+				cp[i] = newRuntimeEntry(
+					append([]RuntimeKey(nil), e.Keys...),
+					e.Action,
+					append([]uint64(nil), e.Args...),
+					e.Priority,
+				)
+			}
+			s.entries[name] = cp
 		}
-		s.entries[name] = cp
-	}
-	for name, d := range t.defaults {
-		dc := *d
-		dc.Args = append([]uint64(nil), d.Args...)
-		s.defaults[name] = &dc
+		if d := r.dflt; d != nil {
+			dc := *d
+			dc.Args = append([]uint64(nil), d.Args...)
+			s.defaults[name] = &dc
+		}
 	}
 	return s
 }
@@ -156,7 +208,8 @@ func (t *Tables) Snapshot() *TablesSnapshot {
 // Restore reinstates a snapshot, replacing all runtime entries and
 // default overrides installed since it was taken. The snapshot itself is
 // not consumed: it deep-copies on the way back in, so one snapshot may
-// be restored more than once.
+// be restored more than once. The compiled classifiers are rebuilt in
+// place, so Execs bound to this Tables stay valid.
 func (t *Tables) Restore(s *TablesSnapshot) {
 	if s == nil {
 		return
@@ -181,10 +234,25 @@ func (t *Tables) Restore(s *TablesSnapshot) {
 		defaults[name] = &dc
 	}
 	t.mu.Lock()
-	t.entries = entries
-	t.defaults = defaults
+	defer t.mu.Unlock()
 	t.seq = s.seq
-	t.mu.Unlock()
+	for _, r := range t.tables {
+		r.entries, r.dflt = nil, nil
+	}
+	for name, es := range entries {
+		t.rec(name).entries = es
+	}
+	for name, d := range defaults {
+		t.rec(name).dflt = d
+	}
+	for name, r := range t.tables {
+		if r.entries == nil && r.dflt == nil && len(r.states) == 0 {
+			delete(t.tables, name)
+		}
+		for _, st := range r.states {
+			st.load(t, r.entries, r.dflt)
+		}
+	}
 }
 
 // LookupOutcome classifies a table lookup for observability.
@@ -220,8 +288,7 @@ func (t *Tables) Lookup(fqName string, def *ir.Table, keyVals []uint64) *ir.Acti
 // always precede runtime entries).
 func (t *Tables) LookupWithOutcome(fqName string, def *ir.Table, keyVals []uint64) (*ir.ActionCall, LookupOutcome) {
 	t.mu.RLock()
-	runtime := t.entries[fqName]
-	defOverride := t.defaults[fqName]
+	runtime, defOverride := t.runtime(fqName)
 	t.mu.RUnlock()
 
 	var best *ir.ActionCall
@@ -272,7 +339,7 @@ func matchConstEntry(def *ir.Table, e *ir.Entry, keyVals []uint64) (plen int, ok
 		}
 		k := &e.Keys[i]
 		rk := RuntimeKey{DontCare: k.DontCare, Value: k.Value, Mask: k.Mask, HasMask: k.HasMask, PrefixLen: k.PrefixLen}
-		if !matchKey(def.Keys[i].MatchKind, rk, keyVals[i], def.Keys[i].Expr.Width) {
+		if !matchKey(kindOf(def.Keys[i].MatchKind), rk, keyVals[i], def.Keys[i].Expr.Width) {
 			return 0, false
 		}
 		if def.Keys[i].MatchKind == "lpm" && !k.DontCare {
@@ -289,7 +356,7 @@ func matchRuntimeEntry(def *ir.Table, e *RuntimeEntry, keyVals []uint64) (plen i
 		if i >= len(def.Keys) {
 			return 0, false
 		}
-		if !matchKey(def.Keys[i].MatchKind, e.Keys[i], keyVals[i], def.Keys[i].Expr.Width) {
+		if !matchKey(kindOf(def.Keys[i].MatchKind), e.Keys[i], keyVals[i], def.Keys[i].Expr.Width) {
 			return 0, false
 		}
 		if def.Keys[i].MatchKind == "lpm" && !e.Keys[i].DontCare {
@@ -300,19 +367,19 @@ func matchRuntimeEntry(def *ir.Table, e *RuntimeEntry, keyVals []uint64) (plen i
 }
 
 // matchKey checks one key column.
-func matchKey(kind string, k RuntimeKey, v uint64, width int) bool {
+func matchKey(kind matchKind, k RuntimeKey, v uint64, width int) bool {
 	if k.DontCare {
 		return true
 	}
 	switch kind {
-	case "exact":
+	case kindExact:
 		return k.Value == v
-	case "ternary":
+	case kindTernary:
 		if !k.HasMask {
 			return k.Value == v
 		}
 		return k.Value&k.Mask == v&k.Mask
-	case "lpm":
+	case kindLPM:
 		if k.PrefixLen == 0 {
 			return true
 		}
@@ -321,7 +388,7 @@ func matchKey(kind string, k RuntimeKey, v uint64, width int) bool {
 			shift = uint(64 - k.PrefixLen)
 		}
 		return k.Value>>shift == v>>shift
-	case "range":
+	case kindRange:
 		// Value..Mask treated as an inclusive range.
 		return v >= k.Value && v <= k.Mask
 	}
@@ -333,8 +400,10 @@ func (t *Tables) TableNames() []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []string
-	for n := range t.entries {
-		out = append(out, n)
+	for n, r := range t.tables {
+		if len(r.entries) > 0 {
+			out = append(out, n)
+		}
 	}
 	sort.Strings(out)
 	return out

@@ -122,7 +122,7 @@ func TestMatchKeyKinds(t *testing.T) {
 		{"exact", Any(), 12345, 16, true},
 	}
 	for i, c := range cases {
-		if got := matchKey(c.kind, c.key, c.v, c.width); got != c.want {
+		if got := matchKey(kindOf(c.kind), c.key, c.v, c.width); got != c.want {
 			t.Errorf("case %d (%s): got %v, want %v", i, c.kind, got, c.want)
 		}
 	}
